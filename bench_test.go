@@ -433,6 +433,10 @@ func benchCoupledSteps(b *testing.B, workers int) {
 		b.Fatal(buildErr)
 	}
 	b.ReportMetric(cl.Eng.Now().Millis()/float64(b.N), "simulated_ms")
+	// Engine work per step, setup included (it amortizes at the fixed
+	// benchtimes ci.sh uses): events executed and process resumes.
+	b.ReportMetric(float64(cl.Eng.Events())/float64(b.N), "events/op")
+	b.ReportMetric(float64(cl.Eng.Resumes())/float64(b.N), "resumes/op")
 	// The provisioning metric for the Fig. 9 science run: model years
 	// integrated per hour of host wall clock, at this benchmark's grid
 	// and time step.

@@ -75,6 +75,13 @@ echo "wrote $sarif_out"
 echo "== go build"
 go build ./...
 
+echo "== perfbench module (vet + tests)"
+# The benchmark is a module of its own (hyades/perfbench, go 1.22,
+# replace hyades => ../), so the root's vet and test stages skip it.
+# Building it here also catches a root go.mod go-directive bump, which
+# the benchmark module rejects with "updates to go.mod needed".
+go -C perfbench vet ./... && go -C perfbench test ./...
+
 echo "== go test -race -short"
 go test -race -short ./...
 

@@ -27,16 +27,18 @@ import (
 // coupledFingerprint runs a small coupled configuration to completion
 // and fingerprints everything observable: a SHA-256 over every
 // worker's checkpointed state in rank order, the kernel's event count,
-// and the final virtual time.  workers sizes the host worker pool
-// (cluster.Config.Workers: 0 = GOMAXPROCS, negative = inline).
-func coupledFingerprint(t testing.TB, steps, workers int) (digest [32]byte, events uint64, now units.Time) {
+// and the final virtual time.  It also returns the kernel's process
+// resume count, which is not folded into the digest.  workers sizes the
+// host worker pool (cluster.Config.Workers: 0 = GOMAXPROCS, negative =
+// inline).
+func coupledFingerprint(t testing.TB, steps, workers int) (digest [32]byte, events uint64, now units.Time, resumes uint64) {
 	t.Helper()
 	return coupledFingerprintSched(t, steps, workers, des.SchedLadder)
 }
 
 // coupledFingerprintSched is coupledFingerprint with an explicit event
 // scheduler, for the heap-vs-ladder equivalence matrix.
-func coupledFingerprintSched(t testing.TB, steps, workers int, sched des.SchedulerKind) (digest [32]byte, events uint64, now units.Time) {
+func coupledFingerprintSched(t testing.TB, steps, workers int, sched des.SchedulerKind) (digest [32]byte, events uint64, now units.Time, resumes uint64) {
 	t.Helper()
 	d := tile.Decomp{NXg: 16, NYg: 8, Px: 2, Py: 1, PeriodicX: true}
 	cfg := gcm.DefaultCoupledConfig(d)
@@ -94,27 +96,31 @@ func coupledFingerprintSched(t testing.TB, steps, workers int, sched des.Schedul
 			t.Fatalf("worker %d: checkpoint: %v", r, err)
 		}
 	}
-	events, now = cl.Eng.Events(), cl.Eng.Now()
+	events, now, resumes = cl.Eng.Events(), cl.Eng.Now(), cl.Eng.Resumes()
 	var word [8]byte
 	binary.LittleEndian.PutUint64(word[:], events)
 	h.Write(word[:])
 	binary.LittleEndian.PutUint64(word[:], uint64(now))
 	h.Write(word[:])
 	copy(digest[:], h.Sum(nil))
-	return digest, events, now
+	return digest, events, now, resumes
 }
 
 // TestCoupledRunIsDeterministic is the double-run regression: two
-// identical coupled runs must agree bit for bit.
+// identical coupled runs must agree bit for bit, down to the number of
+// process resumes.
 func TestCoupledRunIsDeterministic(t *testing.T) {
 	const steps = 12
-	d1, e1, t1 := coupledFingerprint(t, steps, 0)
-	d2, e2, t2 := coupledFingerprint(t, steps, 0)
-	if e1 == 0 {
-		t.Fatal("no events were scheduled; the simulation did not run")
+	d1, e1, t1, r1 := coupledFingerprint(t, steps, 0)
+	d2, e2, t2, r2 := coupledFingerprint(t, steps, 0)
+	if e1 == 0 || r1 == 0 {
+		t.Fatal("no events were scheduled or no process resumed; the simulation did not run")
 	}
 	if e1 != e2 {
 		t.Errorf("event counts differ between identical runs: %d vs %d", e1, e2)
+	}
+	if r1 != r2 {
+		t.Errorf("process resume counts differ between identical runs: %d vs %d", r1, r2)
 	}
 	if t1 != t2 {
 		t.Errorf("final virtual times differ between identical runs: %v vs %v", t1, t2)
@@ -130,18 +136,23 @@ func TestCoupledRunIsDeterministic(t *testing.T) {
 // GOMAXPROCS workers must agree bit for bit — same state digest, same
 // event count, same final virtual clock.  Because the digest folds in
 // the event count and clock, equality also proves the pool adds zero
-// simulated events and zero simulated time.
+// simulated events and zero simulated time.  The process resume count
+// must match too: the pool changes where a phase computes, never how
+// often a process is switched in.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	const steps = 12
-	base, be, bt := coupledFingerprint(t, steps, -1) // inline, no pool
+	base, be, bt, br := coupledFingerprint(t, steps, -1) // inline, no pool
 	if be == 0 {
 		t.Fatal("no events were scheduled; the simulation did not run")
 	}
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, w := range counts {
-		d, e, now := coupledFingerprint(t, steps, w)
+		d, e, now, r := coupledFingerprint(t, steps, w)
 		if e != be {
 			t.Errorf("workers=%d: event count %d differs from inline %d", w, e, be)
+		}
+		if r != br {
+			t.Errorf("workers=%d: process resume count %d differs from inline %d", w, r, br)
 		}
 		if now != bt {
 			t.Errorf("workers=%d: final clock %v differs from inline %v", w, now, bt)
@@ -160,12 +171,12 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 // worker-pool sizes too.
 func TestSchedulerEquivalence(t *testing.T) {
 	const steps = 12
-	heapD, heapE, heapT := coupledFingerprintSched(t, steps, -1, des.SchedHeap)
+	heapD, heapE, heapT, _ := coupledFingerprintSched(t, steps, -1, des.SchedHeap)
 	if heapE == 0 {
 		t.Fatal("no events were scheduled; the simulation did not run")
 	}
 	for _, w := range []int{-1, 1, runtime.GOMAXPROCS(0)} {
-		d, e, now := coupledFingerprintSched(t, steps, w, des.SchedLadder)
+		d, e, now, _ := coupledFingerprintSched(t, steps, w, des.SchedLadder)
 		if e != heapE {
 			t.Errorf("ladder workers=%d: event count %d differs from heap %d", w, e, heapE)
 		}

@@ -52,7 +52,8 @@ type Stats struct {
 	FailedOver     int64 // up-phase hops re-routed around a downed up-link
 }
 
-// LinkStats is the per-link fault counter snapshot (see Fabric.LinkStats).
+// LinkStats is the per-link traffic and fault counter snapshot (see
+// Fabric.LinkStats).
 type LinkStats struct {
 	Name          string
 	Transmitted   int64 // packets that started crossing the link
@@ -168,6 +169,36 @@ func (f *Fabric) AcquirePacket() *Packet {
 	}
 	return &Packet{pooled: true}
 }
+
+// ClonePacket returns a copy of p for retransmission, taken from the
+// freelist: same routing, payload and sequence state, but pristine
+// (uncorrupted) and re-sealed, as the NIU re-reads the data from host
+// memory.  The clone is fabric-owned from injection to delivery (the
+// retransmitting NIU never sees it again), so it is pooled whatever p
+// is, and its delivery returns to the freelist the packet this call
+// took from it.
+func (f *Fabric) ClonePacket(p *Packet) *Packet {
+	q := f.AcquirePacket()
+	*q = *p
+	q.corrupted = false
+	q.pooled = true
+	if p.Rel != nil {
+		rel := *p.Rel
+		q.Rel = &rel
+	}
+	q.Seal()
+	return q
+}
+
+// ReleasePacket returns a pooled packet that never entered the fabric
+// (a reliable-channel original, kept for retransmission until
+// acknowledged) to the freelist.  The caller must hold the only
+// reference.  Unpooled packets are left alone.
+func (f *Fabric) ReleasePacket(p *Packet) { f.releasePacket(p) }
+
+// FreePackets returns the length of the packet freelist.  In steady
+// state it stays flat: every acquired packet is released once.
+func (f *Fabric) FreePackets() int { return len(f.freePkt) }
 
 // releasePacket reclaims a pooled packet at the end of its journey.
 // Unpooled packets are left alone (their owner may have retained them).
@@ -310,12 +341,16 @@ func (f *Fabric) Config() Config { return f.cfg }
 // Stats returns a snapshot of the fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
 
-// LinkStats returns per-link counters for every link that saw at least
-// one injected fault, in deterministic link-creation order.
+// LinkStats returns per-link counters for every link that transmitted
+// at least one packet, in deterministic link-creation order.  Every
+// fault counter counts packets the link started transmitting, so this
+// includes every link that saw a fault; on a fault-free fabric it is
+// the per-link traffic, and the Transmitted counts sum to the hops of
+// every injected packet.
 func (f *Fabric) LinkStats() []LinkStats {
 	var out []LinkStats
 	for _, l := range f.links {
-		if l.stats.FaultDropped > 0 || l.stats.Corrupted > 0 || l.stats.OutageDropped > 0 {
+		if l.stats.Transmitted > 0 {
 			out = append(out, l.stats)
 		}
 	}

@@ -248,6 +248,39 @@ func TestHopsBetween(t *testing.T) {
 	_ = eng
 }
 
+// TestLinkStatsCountFaultFreeTraffic: on a fault-free fabric
+// LinkStats reports every link a packet crossed, and the per-link
+// transmission counts add up to each packet's hop count.
+func TestLinkStatsCountFaultFreeTraffic(t *testing.T) {
+	eng, fab, got := testFabric(t, 64)
+	wantHops, sent := int64(0), 0
+	for src := 0; src < 64; src += 3 {
+		for dst := 0; dst < 64; dst += 5 {
+			if src == dst {
+				continue
+			}
+			fab.Inject(src, mkPacket(fab, src, dst, 4, uint16(dst)))
+			wantHops += int64(fab.HopsBetween(src, dst))
+			sent++
+		}
+	}
+	eng.Run()
+	if len(*got) != sent {
+		t.Fatalf("delivered %d of %d packets", len(*got), sent)
+	}
+	ls := fab.LinkStats()
+	var hops int64
+	for _, l := range ls {
+		if l.Transmitted == 0 {
+			t.Errorf("link %s listed with no traffic", l.Name)
+		}
+		hops += l.Transmitted
+	}
+	if hops != wantHops {
+		t.Fatalf("Σ Transmitted over %d links = %d, want Σ HopsBetween = %d", len(ls), hops, wantHops)
+	}
+}
+
 func TestSameLeafPacketStaysLocal(t *testing.T) {
 	// Endpoints 0 and 1 share a leaf router: no up hops, so the root
 	// stage must see no traffic.  We verify via latency: one router

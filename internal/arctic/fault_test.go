@@ -48,10 +48,14 @@ func TestCRCRecomputedOverWireWords(t *testing.T) {
 }
 
 func TestCloneIsPristine(t *testing.T) {
+	_, fab, _ := testFabric(t, 16)
 	p := &Packet{Payload: []uint32{1, 2, 3}, Rel: &RelHeader{Seq: 7}}
 	p.Seal()
 	p.Corrupt()
-	q := p.Clone()
+	q := fab.ClonePacket(p)
+	if !q.pooled {
+		t.Fatalf("clone is not fabric-owned")
+	}
 	if !q.checkCRC() || q.Corrupted() {
 		t.Fatalf("clone of a corrupted packet is not pristine")
 	}
@@ -88,9 +92,21 @@ func TestInjectedCorruptionCountsAndDrops(t *testing.T) {
 	if s.Dropped == 0 {
 		t.Fatalf("corruption did not trip a router CRC check")
 	}
-	if ls := fab.LinkStats(); len(ls) == 0 {
-		t.Fatalf("no per-link counters for a corrupting link")
+	if l := linkFaults(fab); l.Corrupted != s.FaultCorrupted {
+		t.Fatalf("per-link Corrupted sums to %d, want FaultCorrupted = %d", l.Corrupted, s.FaultCorrupted)
 	}
+}
+
+// linkFaults sums the fault counters over Fabric.LinkStats, which must
+// name every link that saw a fault.
+func linkFaults(fab *Fabric) LinkStats {
+	var sum LinkStats
+	for _, l := range fab.LinkStats() {
+		sum.Corrupted += l.Corrupted
+		sum.FaultDropped += l.FaultDropped
+		sum.OutageDropped += l.OutageDropped
+	}
+	return sum
 }
 
 func TestInjectedDropIsSilent(t *testing.T) {
@@ -106,6 +122,9 @@ func TestInjectedDropIsSilent(t *testing.T) {
 	}
 	if s.Dropped != 0 {
 		t.Fatalf("a silent drop must not look like a CRC drop (Dropped = %d)", s.Dropped)
+	}
+	if l := linkFaults(fab); l.FaultDropped != s.FaultDropped {
+		t.Fatalf("per-link FaultDropped sums to %d, want %d", l.FaultDropped, s.FaultDropped)
 	}
 }
 
@@ -162,6 +181,9 @@ func TestDownLinkOutageIsLossNotMisroute(t *testing.T) {
 	}
 	if s.FailedOver != 0 {
 		t.Fatalf("down-phase must never fail over (FailedOver = %d)", s.FailedOver)
+	}
+	if l := linkFaults(fab); l.OutageDropped != s.OutageDropped {
+		t.Fatalf("per-link OutageDropped sums to %d, want %d", l.OutageDropped, s.OutageDropped)
 	}
 }
 

@@ -135,24 +135,6 @@ type RelHeader struct {
 	Chan   Priority // which priority stream the sequence number belongs to
 }
 
-// Clone returns a fresh copy of the packet for retransmission: same
-// routing, payload and sequence state, but pristine (uncorrupted) and
-// re-sealed, as the NIU re-reads the data from host memory.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.corrupted = false
-	// The clone is fabric-owned from injection to delivery (the
-	// retransmitting NIU never sees it again), so the fabric may pool it
-	// regardless of where the original came from.
-	q.pooled = true
-	if p.Rel != nil {
-		rel := *p.Rel
-		q.Rel = &rel
-	}
-	q.Seal()
-	return &q
-}
-
 // payloadWords returns the modelled payload size in words, honouring
 // the out-of-band bulk convention.
 func (p *Packet) payloadWords() int {

@@ -18,9 +18,13 @@
 //     Semaphore.Acquire; control transfers back to the kernel until the
 //     wake-up event fires.
 //
-// Processes are backed by goroutines but are strictly coroutines: the
-// kernel hands a "baton" to at most one goroutine at a time, so process
-// code may freely touch shared simulation state without locking.
+// Processes are coroutines (iter.Pull).  One dispatch loop, running on
+// the goroutine that called Run, RunUntil or Step, executes every event
+// in (at, seq) order; when an event wakes a process the loop resumes it
+// and regains control when the process blocks again.  A coroutine
+// switch bypasses the Go scheduler, and since only one activity ever
+// runs, process code may freely touch shared simulation state without
+// locking.
 package des
 
 import (
@@ -35,17 +39,15 @@ import (
 // fields: idx is the event's slot within its container (heap position,
 // or position inside an unsorted ladder region, where it makes
 // cancellation an O(1) swap-remove); rng and bkt locate that container
-// in the ladder; dead marks a tombstoned cancellation awaiting drain.
-// Cancelled timers must not advance the virtual clock to their expiry,
-// so a dead event is skipped — never executed — when popped.
+// in the ladder.  Cancellation removes an event outright, so a
+// cancelled timer never advances the virtual clock to its expiry.
 type event struct {
-	at   units.Time
-	seq  uint64 // tie-break: FIFO among simultaneous events
-	fn   func()
-	idx  int
-	bkt  int32
-	rng  int8
-	dead bool
+	at  units.Time
+	seq uint64 // tie-break: FIFO among simultaneous events
+	fn  func()
+	idx int
+	bkt int32
+	rng int8
 }
 
 // Engine is the simulation kernel.  Create one with NewEngine; it is not
@@ -69,8 +71,8 @@ type Engine struct {
 	free []*event
 
 	// pool, when set, executes offloaded compute phases (Proc.Exec) on
-	// host worker goroutines while the baton keeps metering virtual
-	// time.  Nil means Exec runs inline.
+	// host worker goroutines while the dispatch loop keeps metering
+	// virtual time.  Nil means Exec runs inline.
 	pool *Pool
 
 	// watchdog bounds any single blocking wait; see SetWatchdog.
@@ -81,30 +83,13 @@ type Engine struct {
 	limit units.Time
 	// failed stops the run loop with a recorded cause; see Fail.
 	failed error
-	// Direct-handoff baton state.  xfer is the process the event that
-	// just executed woke: the dispatcher completes the handoff after
-	// the event fn returns (every wake is the last effect of its
-	// event, so no engine work is reordered).  mainCh parks the
-	// Run/RunUntil caller while a process goroutine is dispatching.
-	// engPanic carries a panic raised by an event that executed on a
-	// process dispatcher back to the run loop's caller, preserving
-	// the contract that watchdog and scheduling panics unwind Run —
-	// never a baton goroutine.  single makes dispatch loops stop
-	// after the current event (Engine.Step).
-	xfer     *Proc
-	mainCh   chan struct{}
-	engPanic interface{}
-	single   bool
-	// disp is the process currently acting as dispatcher (nil when the
-	// Run/RunUntil caller is dispatching).  finishKill consults it: a
-	// process dispatching the very event that kills it cannot hand
-	// itself the unwind baton and must unwind after the event returns.
-	disp *Proc
-	// procFailure carries a panic out of a process goroutine so wake
-	// can re-raise it in engine context, where Run's caller can
-	// recover it (a raw panic in the baton goroutine would kill the
-	// whole OS process instead).
-	procFailure *ProcPanic
+	// xfer is the process the event that just executed woke.  The
+	// dispatch loop resumes it after the event fn returns: every wake
+	// is the last effect of its event, so deferring the switch to the
+	// event boundary reorders nothing.
+	xfer *Proc
+	// resumes counts coroutine switches into processes; see Resumes.
+	resumes uint64
 }
 
 // NewEngine returns an empty kernel at virtual time zero, using the
@@ -118,7 +103,7 @@ func NewEngine() *Engine {
 // strict (at, seq) order, so a simulation's digest is identical under
 // either — the determinism suite asserts exactly that.
 func NewEngineWithScheduler(kind SchedulerKind) *Engine {
-	e := &Engine{mainCh: make(chan struct{})}
+	e := &Engine{}
 	switch kind {
 	case SchedHeap:
 		e.sched = &heapSched{}
@@ -136,6 +121,11 @@ func (e *Engine) Now() units.Time { return e.now }
 // inputs must report the same count — a cheap fingerprint for
 // determinism regression tests.
 func (e *Engine) Events() uint64 { return e.seq }
+
+// Resumes returns the number of times a process has been resumed: one
+// coroutine switch into a process (and one back out) each.  Like
+// Events it is a pure function of the virtual schedule.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // newEvent takes an event from the freelist (or allocates one) and
 // stamps it with the next sequence number.
@@ -155,44 +145,13 @@ func (e *Engine) newEvent(at units.Time, fn func()) *event {
 // closure is dropped so recycling never retains captured state.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.dead = false
 	e.free = append(e.free, ev)
 }
 
-// cancelEvent removes a queued event.  Schedulers that tombstone
-// instead of removing hand the event back through popNext, which
-// recycles it there.
+// cancelEvent removes a queued event and recycles it.
 func (e *Engine) cancelEvent(ev *event) {
-	if e.sched.cancel(ev) {
-		e.recycle(ev)
-	}
-}
-
-// popNext returns the next live event, draining (and recycling) any
-// tombstoned cancellations in front of it.  Nil means the queue is
-// empty.
-func (e *Engine) popNext() *event {
-	for {
-		ev := e.sched.pop()
-		if ev == nil || !ev.dead {
-			return ev
-		}
-		e.recycle(ev)
-	}
-}
-
-// peekNext returns the next live event without removing it; dead events
-// at the front are drained so the caller's timestamp check sees a real
-// activity.
-func (e *Engine) peekNext() *event {
-	for {
-		ev := e.sched.peek()
-		if ev == nil || !ev.dead {
-			return ev
-		}
-		e.sched.pop()
-		e.recycle(ev)
-	}
+	e.sched.cancel(ev)
+	e.recycle(ev)
 }
 
 // Schedule runs fn at now+d.  A non-positive d means "as soon as
@@ -227,41 +186,28 @@ func (e *Engine) RunUntil(limit units.Time) {
 	e.limit = limit
 	defer func() { e.limit = prev }()
 	for !e.stopped && e.failed == nil {
-		ev := e.peekNext()
+		ev := e.sched.peek()
 		if ev == nil || ev.at > limit {
 			return
 		}
 		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.fn()
-		e.recycle(ev)
-		if q := e.xfer; q != nil {
-			// The event woke a process: hand it the baton directly and
-			// park until the dispatch chain returns it (the woken
-			// process, and every process it transitively hands to,
-			// keeps draining the queue in the same (at, seq) order
-			// this loop would).
-			e.xfer = nil
-			q.resume <- true
-			<-e.mainCh
-			e.reraise()
-		}
+		e.fire(ev)
 	}
 }
 
-// reraise surfaces a failure carried back with the baton: a panic from
-// an event that executed on a process dispatcher, or a process body
-// panic, re-thrown in the run loop caller's context.
-func (e *Engine) reraise() {
-	if r := e.engPanic; r != nil {
-		e.engPanic = nil
-		panic(r)
+// fire executes a popped event on the dispatch loop, then resumes the
+// process the event woke, if any, until that process blocks again.
+// Event and process panics (watchdog trips, *ProcPanic) therefore
+// unwind the Run/RunUntil/Step caller.
+func (e *Engine) fire(ev *event) {
+	if ev.at > e.now {
+		e.now = ev.at
 	}
-	if f := e.procFailure; f != nil {
-		e.procFailure = nil
-		panic(f)
+	ev.fn()
+	e.recycle(ev)
+	if q := e.xfer; q != nil {
+		e.xfer = nil
+		q.resume()
 	}
 }
 
@@ -335,9 +281,9 @@ func (w *WatchdogError) Error() string {
 }
 
 // ProcPanic wraps a panic raised inside a simulated process.  The
-// kernel re-raises it from engine context so that the caller of Run can
-// recover and report it; Value is the original panic payload and Stack
-// the goroutine stack captured at the panic site.
+// kernel re-raises it from the dispatch loop so that the caller of Run
+// can recover and report it; Value is the original panic payload and
+// Stack the process's stack captured at the panic site.
 type ProcPanic struct {
 	Proc  string
 	Value any
@@ -400,25 +346,11 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	ev := e.popNext()
+	ev := e.sched.pop()
 	if ev == nil {
 		return false
 	}
-	if ev.at > e.now {
-		e.now = ev.at
-	}
-	ev.fn()
-	e.recycle(ev)
-	if q := e.xfer; q != nil {
-		// single keeps the woken process from dispatching further
-		// events: it runs to its next block, then returns the baton.
-		e.xfer = nil
-		e.single = true
-		q.resume <- true
-		<-e.mainCh
-		e.single = false
-		e.reraise()
-	}
+	e.fire(ev)
 	return true
 }
 
@@ -437,7 +369,7 @@ func (e *Engine) Blocked() int {
 	return n
 }
 
-// Close terminates all live processes by unwinding their goroutines.
+// Close terminates all live processes by unwinding their coroutines.
 // After Close the engine must not be used.  It is safe to call Close on
 // an engine whose Run has returned; it is also idempotent.
 func (e *Engine) Close() {
@@ -451,7 +383,6 @@ func (e *Engine) Close() {
 }
 
 // dropProc unregisters a finished process, preserving spawn order.
-// Called with the baton held, so no other activity touches the slice.
 func (e *Engine) dropProc(p *Proc) {
 	for i, q := range e.procs {
 		if q == p {
@@ -494,10 +425,15 @@ type waiterList interface {
 type Proc struct {
 	eng     *Engine
 	name    string
-	resume  chan bool // true = run, false = unwind
-	yield   chan struct{}
 	blocked bool
 	dead    bool
+
+	// next resumes the process coroutine until it blocks (true) or its
+	// body has returned (false); yield, called from process context,
+	// suspends it back to whoever called next.  Both come from one
+	// iter.Pull at spawn.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// wakeFn is the bound wake method, created once at spawn: the
 	// blocking primitives schedule it directly instead of allocating a
@@ -531,11 +467,6 @@ type Proc struct {
 	parkFac     waiterList
 	inExec      bool
 	killPending bool
-	// selfKill marks a process killed by an event it was itself
-	// dispatching; the dispatch loop unwinds it at the next event
-	// boundary and the dying goroutine keeps dispatching on its way
-	// out (see finishKill).
-	selfKill bool
 
 	// Exec offload state, created lazily on the first pooled Exec and
 	// reused for every later one: a Proc has at most one outstanding
@@ -546,70 +477,55 @@ type Proc struct {
 }
 
 // Spawn creates a process running fn and schedules its first activation
-// "now".  fn runs in coroutine discipline; when it returns the process
+// "now".  fn runs as a coroutine; when it returns the process
 // disappears.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = p.wake
 	p.wdFireFn = p.wdFire
-	e.procs = append(e.procs, p)
-	// The kernel's coroutine baton: the one legitimate raw goroutine
-	// in the simulation core.  It runs only while holding the baton
-	// (handed over via p.resume / p.yield), so it never races with
-	// engine state.  All other concurrency must go through Spawn.
-	//lint:allow nogoroutine kernel baton launch; coroutine discipline documented above
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopSignal); ok {
-					if p.selfKill {
-						// Killed by an event this process was itself
-						// dispatching: no killer is waiting for the
-						// yield handshake, so keep dispatching on the
-						// way out instead.
-						e.exitDispatch()
-						return
-					}
-					// Killed by Engine.Close or Proc.Kill.  Hand the baton
-					// back so the killer can proceed synchronously.
-					p.yield <- struct{}{}
-					return
-				}
-				// Real bug in simulation code: capture it and hand the
-				// baton back so wake re-raises in engine context, where
-				// the caller of Run can recover and report it.  A raw
-				// re-panic here would crash the whole OS process from a
-				// bare goroutine, unrecoverable by any test.
-				p.dead = true
-				e.dropProc(p)
-				e.procFailure = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-				e.mainCh <- struct{}{}
-			}
-		}()
-		if !<-p.resume {
-			panic(stopSignal{})
+	p.next = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		if p.dead {
+			return // killed before its first activation
 		}
+		defer p.exit()
 		fn(p)
-		p.dead = true
-		e.dropProc(p)
-		e.exitDispatch()
-	}()
+	})
+	e.procs = append(e.procs, p)
 	p.blocked = true
 	e.Schedule(0, p.wakeFn)
 	return p
 }
 
-// wake marks p runnable.  The baton itself moves when the current
-// event fn returns: the dispatcher sees e.xfer set and completes the
-// handoff (or, when p is the dispatcher, simply returns from block).
-// Every caller invokes wake as the last effect of its event, so
-// deferring the transfer to the event boundary reorders nothing.
-// Must only be called from engine context (inside an event).
+// exit ends the process body (deferred in the coroutine).  A killed
+// process unwinds with stopSignal and was already unregistered by its
+// killer.  A body panic is wrapped as a *ProcPanic with the process's
+// own stack and re-raised; iter.Pull carries it out of next, so it
+// unwinds the Run caller, which can recover and report it.
+func (p *Proc) exit() {
+	r := recover()
+	if _, ok := r.(stopSignal); ok {
+		return
+	}
+	p.dead = true
+	p.eng.dropProc(p)
+	if r != nil {
+		panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+	}
+}
+
+// resume switches into the process until it blocks or finishes.  A
+// dead process unwinds instead: block sees dead and raises stopSignal.
+func (p *Proc) resume() {
+	p.eng.resumes++
+	p.next()
+}
+
+// wake marks p runnable.  The dispatch loop resumes it when the
+// current event fn returns (see Engine.fire).  Every caller invokes
+// wake as the last effect of its event, so deferring the switch to the
+// event boundary reorders nothing.  Must only be called from engine
+// context (inside an event).
 func (p *Proc) wake() {
 	if p.dead {
 		return
@@ -632,8 +548,7 @@ func (p *Proc) kill() {
 		return
 	}
 	p.dead = true
-	p.resume <- false
-	<-p.yield
+	p.resume()
 }
 
 // Kill terminates a blocked process at the current virtual instant, as
@@ -666,17 +581,7 @@ func (p *Proc) finishKill() {
 	p.wdFacility = nil
 	p.dead = true
 	p.eng.dropProc(p)
-	if p.eng.disp == p {
-		// The process is dispatching the very event that kills it (a
-		// node crash reaches the node's own ranks this way whenever
-		// one of them holds the baton): it cannot complete a
-		// synchronous unwind handshake with itself.  Flag the suicide;
-		// the dispatch loop unwinds after the event completes.
-		p.selfKill = true
-		return
-	}
-	p.resume <- false
-	<-p.yield
+	p.resume()
 }
 
 // Interrupt arranges for cause to be raised inside the process as an
@@ -713,105 +618,16 @@ func (p *Proc) maybeInterrupt() {
 	panic(&Interrupt{Proc: p.name, Cause: cause})
 }
 
-// block parks the process until its wake event fires.  There is no
-// central engine goroutine to yield to: the blocking process itself
-// becomes the dispatcher, draining the event queue in the same
-// strict (at, seq) order the run loop uses — the virtual schedule is
-// bit-identical by construction.  Waking itself costs no goroutine
-// switch at all (the dominant case: a Delay with only timer events in
-// between); waking another process is one direct channel handoff.
-// When the run bound is reached, the engine stops or fails, or an
-// event panics, the baton is returned to the Run/RunUntil caller.
-// Must only be called from process context.
+// block parks the process until its wake event fires: the coroutine
+// yields to the dispatch loop, which resumes it after the wake event.
+// A process killed while parked is resumed only to unwind.  Must only
+// be called from process context.
 func (p *Proc) block() {
 	p.blocked = true
-	e := p.eng
-	e.disp = p
-	for !e.single && !e.stopped && e.failed == nil {
-		ev := e.peekNext()
-		if ev == nil || ev.at > e.limit {
-			break
-		}
-		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if !e.runEvent(ev) {
-			break
-		}
-		if p.selfKill {
-			// The event killed its own dispatcher: unwind here, outside
-			// runEvent's recover, so the stop signal reaches the spawn
-			// wrapper (which keeps dispatching on the way out — any
-			// handoff the fatal event also requested is still pending
-			// in e.xfer and is completed there).
-			e.disp = nil
-			panic(stopSignal{})
-		}
-		if q := e.xfer; q != nil {
-			e.xfer = nil
-			e.disp = nil
-			if q == p {
-				return // self-wake: the baton never moves
-			}
-			q.resume <- true
-			if !<-p.resume {
-				panic(stopSignal{})
-			}
-			return
-		}
-	}
-	// Bound reached, engine stopped/failed, or an event panicked:
-	// return the baton to the run loop's caller and park.
-	e.disp = nil
-	e.mainCh <- struct{}{}
-	if !<-p.resume {
+	p.yield(struct{}{})
+	if p.dead {
 		panic(stopSignal{})
 	}
-}
-
-// runEvent executes one event on a process dispatcher, converting a
-// panic into engine-failure state so the run loop's caller — not the
-// baton goroutine — re-raises it (watchdog and scheduling panics must
-// unwind Run, where tests and drivers recover them).
-func (e *Engine) runEvent(ev *event) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.engPanic = r
-		}
-	}()
-	ev.fn()
-	e.recycle(ev)
-	return true
-}
-
-// exitDispatch hands the baton onward when a process body returns:
-// the finished goroutine keeps dispatching (it is as good an engine
-// context as any) until an event wakes a live process or the run
-// bound is reached, then disappears.
-func (e *Engine) exitDispatch() {
-	for {
-		if q := e.xfer; q != nil {
-			e.xfer = nil
-			q.resume <- true
-			return
-		}
-		if e.single || e.stopped || e.failed != nil {
-			break
-		}
-		ev := e.peekNext()
-		if ev == nil || ev.at > e.limit {
-			break
-		}
-		e.sched.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if !e.runEvent(ev) {
-			break
-		}
-	}
-	e.mainCh <- struct{}{}
 }
 
 // armWd schedules the process's expiry event at now+d; disarmWd removes
@@ -856,8 +672,8 @@ func (p *Proc) wdFire() {
 }
 
 // park blocks p on the named facility, arming the engine's watchdog if
-// one is configured.  The watchdog event fires in engine context, so
-// its panic unwinds Run rather than the baton goroutine.  fac is the
+// one is configured.  The watchdog event fires on the dispatch loop, so
+// its panic unwinds Run rather than the process.  fac is the
 // facility whose waiter list holds p, so Interrupt and Kill can detach
 // it; a pending interrupt is raised as the park ends.
 func (p *Proc) park(on string, fac waiterList) {
@@ -903,8 +719,8 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() units.Time { return p.eng.now }
 
 // Delay suspends the process for d of virtual time.  A non-positive d
-// yields the baton without advancing the clock (other simultaneous
-// events run first).
+// yields without advancing the clock (other simultaneous events run
+// first).
 func (p *Proc) Delay(d units.Time) {
 	e := p.eng
 	if d < 0 {
@@ -912,13 +728,13 @@ func (p *Proc) Delay(d units.Time) {
 	}
 	at := e.now + d
 	// Fast path: when nothing else is scheduled before this delay would
-	// expire (and the run loop's limit covers it), yielding the baton
-	// would only bounce it straight back here.  Advance the clock inline
+	// expire (and the run loop's limit covers it), yielding would only
+	// switch straight back here.  Advance the clock inline
 	// instead.  The sequence number is consumed exactly as if the wake
 	// event had been queued and fired, so clock, event order and event
 	// count are bit-identical to the slow path.
 	if !e.stopped && e.failed == nil && at <= e.limit {
-		if nxt := e.peekNext(); nxt == nil || nxt.at > at {
+		if nxt := e.sched.peek(); nxt == nil || nxt.at > at {
 			e.seq++
 			e.now = at
 			p.maybeInterrupt()

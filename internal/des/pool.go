@@ -1,8 +1,8 @@
 // Deterministic offload of compute phases to host worker goroutines.
 //
 // The DES executes one activity at a time, so with the whole cluster
-// modelled under one baton, sixteen simulated ranks' kernel sweeps run
-// serially on one host core — exactly where the paper's dual-PII nodes
+// modelled under one dispatch loop, sixteen simulated ranks' kernel
+// sweeps run serially on one host core — exactly where the paper's dual-PII nodes
 // did their work in parallel.  Pool restores that parallelism without
 // touching the determinism contract:
 //
@@ -12,7 +12,7 @@
 //   - Proc.Exec schedules exactly one wake-up event at now+d — the same
 //     virtual footprint as Proc.Delay(d) — and ships the closure to a
 //     pool worker.  The wake-up event performs a real wait for the
-//     closure to finish before handing the baton back, so by the time
+//     closure to finish before resuming the process, so by the time
 //     any other activity can observe the rank's state, the phase is
 //     complete and a happens-before edge (task channel send, done
 //     channel close, done receive) orders every memory access.
@@ -48,8 +48,8 @@ type poolTask struct {
 
 // NewPool starts n worker goroutines (n < 1 is clamped to 1).  The
 // workers never touch simulation state of their own accord: they only
-// run closures handed to them by Proc.Exec, and the baton waits for
-// completion before anything else can observe the results.
+// run closures handed to them by Proc.Exec, and the dispatch loop
+// waits for completion before anything else can observe the results.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
@@ -57,11 +57,11 @@ func NewPool(n int) *Pool {
 	p := &Pool{tasks: make(chan poolTask), workers: n}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
-		// The second sanctioned raw goroutine of the simulation core
-		// (after the coroutine-baton launch in Spawn): pool workers
+		// The one sanctioned raw goroutine of the simulation core
+		// (processes are iter.Pull coroutines): pool workers
 		// synchronize exclusively through the task and done channels,
-		// and the baton blocks on done before the offloaded state is
-		// visible to any simulation activity.
+		// and the dispatch loop blocks on done before the offloaded
+		// state is visible to any simulation activity.
 		//lint:allow nogoroutine worker-pool launch; offload discipline documented in the package comment
 		go func() {
 			defer p.wg.Done()

@@ -10,6 +10,7 @@
 //     rungs, O(1) cancellation, no comparison work proportional to the
 //     pending-event count.  This is what lets the simulated machine grow
 //     from 32 to 1,024 nodes without the scheduler becoming the hot path.
+//     Cancellation removes the event outright wherever it sits.
 //   - heapSched: the original container/heap binary heap, O(log n) per
 //     operation.  Kept behind NewEngineWithScheduler so the determinism
 //     suite can assert bit-identical digests across both implementations.
@@ -22,16 +23,13 @@ import (
 )
 
 // scheduler is the pending-event set.  pop and peek return events in
-// ascending (at, seq) order; they may surface cancelled (dead) events,
-// which the engine filters and recycles.  cancel reports whether the
-// event left the structure immediately (true: the caller may recycle it
-// now) or was tombstoned in place (false: it comes back through pop).
-// len counts live events only.
+// ascending (at, seq) order; cancel removes a pending event outright,
+// so the caller may recycle it at once.  len counts pending events.
 type scheduler interface {
 	push(ev *event)
 	pop() *event
 	peek() *event
-	cancel(ev *event) bool
+	cancel(ev *event)
 	len() int
 }
 
@@ -80,8 +78,7 @@ func (h *eventHeap) Pop() any {
 }
 
 // heapSched adapts eventHeap to the scheduler interface.  Cancellation
-// removes outright (heap.Remove, O(log n) with index maintenance on
-// every swap), so it never surfaces dead events.
+// is heap.Remove, O(log n) with index maintenance on every swap.
 type heapSched struct{ h eventHeap }
 
 func (s *heapSched) push(ev *event) { heap.Push(&s.h, ev) }
@@ -97,11 +94,8 @@ func (s *heapSched) peek() *event {
 	}
 	return s.h[0]
 }
-func (s *heapSched) cancel(ev *event) bool {
-	heap.Remove(&s.h, ev.idx)
-	return true
-}
-func (s *heapSched) len() int { return len(s.h) }
+func (s *heapSched) cancel(ev *event) { heap.Remove(&s.h, ev.idx) }
+func (s *heapSched) len() int         { return len(s.h) }
 
 // ---------------------------------------------------------------------------
 // Ladder queue.
@@ -194,14 +188,17 @@ func (r *rung) reset() {
 // global total order — which is what makes the ladder digest-equivalent
 // to the heap.
 //
-// Cancellation: top and rung buckets are unsorted, so a cancelled event
-// is swap-removed in O(1) via its (rng, bkt, idx) location stamp.  Only
-// bottom — at most one sorted bucket, ≤ ladderSortThreshold events in
-// steady state — uses tombstones (event.dead), drained at pop.  This
-// matters because every park of every process arms a watchdog event
-// (1 hour of virtual time by default) that is almost always cancelled:
-// eager removal in the unsorted regions keeps millions of armed-then-
-// cancelled watchdogs from accumulating as garbage.
+// Cancellation is eager everywhere.  Top and rung buckets are unsorted,
+// so a cancelled event is swap-removed in O(1) via its (rng, bkt, idx)
+// location stamp.  In the sorted bottom it is found by binary search on
+// (at, seq) and the gap closed by a memmove.  Bottom is not bounded by
+// ladderSortThreshold: once the first rung has been built from a span
+// that includes 1-hour watchdog arms, its buckets are minutes wide, so
+// nearly every near-future push lands directly in bottom.  Cancelled
+// events left there as tombstones (go-back-N retransmit timers,
+// deadline waits) would outnumber the live ones — a mean of ~490
+// entries around ~22 live on a lossy 16-rank run — and every insertion
+// would pay to move them.
 type ladderQueue struct {
 	top            []*event
 	topMin, topMax units.Time // conservative bounds over top (stale after cancels: min only ever too low, max too high — never falsely equal)
@@ -266,15 +263,7 @@ func (l *ladderQueue) insertBottom(ev *event) {
 		l.bottom = l.bottom[:n]
 		l.cursor = 0
 	}
-	lo, hi := l.cursor, len(l.bottom)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventBefore(l.bottom[mid], ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	lo := l.searchBottom(ev)
 	l.bottom = append(l.bottom, nil)
 	copy(l.bottom[lo+1:], l.bottom[lo:])
 	l.bottom[lo] = ev
@@ -301,18 +290,18 @@ func (l *ladderQueue) pop() *event {
 	}
 	l.bottom[l.cursor] = nil
 	l.cursor++
-	if !ev.dead {
-		l.live--
-	}
+	l.live--
 	return ev
 }
 
-func (l *ladderQueue) cancel(ev *event) bool {
+func (l *ladderQueue) cancel(ev *event) {
 	l.live--
 	switch ev.rng {
 	case rngBottom:
-		ev.dead = true
-		return false
+		i := l.searchBottom(ev)
+		n := copy(l.bottom[i:], l.bottom[i+1:])
+		l.bottom[i+n] = nil
+		l.bottom = l.bottom[:i+n]
 	case rngTop:
 		last := len(l.top) - 1
 		moved := l.top[last]
@@ -320,7 +309,6 @@ func (l *ladderQueue) cancel(ev *event) bool {
 		moved.idx = ev.idx
 		l.top[last] = nil
 		l.top = l.top[:last]
-		return true
 	default:
 		r := l.rungs[ev.rng]
 		b := r.buckets[ev.bkt]
@@ -331,8 +319,23 @@ func (l *ladderQueue) cancel(ev *event) bool {
 		b[last] = nil
 		r.buckets[ev.bkt] = b[:last]
 		r.count--
-		return true
 	}
+}
+
+// searchBottom returns the first position in bottom[cursor:] not
+// ordered before ev: its insertion point, or, since (at, seq) keys are
+// unique, its own slot when it is already there.
+func (l *ladderQueue) searchBottom(ev *event) int {
+	lo, hi := l.cursor, len(l.bottom)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventBefore(l.bottom[mid], ev) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // refill moves the next timeline segment into the (empty) bottom and

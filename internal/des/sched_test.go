@@ -13,6 +13,8 @@ import (
 // ladder: timestamp clusters (same-instant storms), far-future spikes
 // (watchdog-like arms that are almost always cancelled), and pops
 // interleaved with pushes so events land in top, rungs and bottom.
+// Cancellations hit all three regions, the sorted bottom included,
+// where they are removed eagerly rather than left as tombstones.
 func TestLadderMatchesHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lad := &ladderQueue{}
@@ -27,15 +29,10 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 	// cancellable holds paired (ladder, heap) events still pending.
 	type pair struct{ l, h *event }
 	var cancellable []pair
+	bottomCancels := 0
 
 	popBoth := func() bool {
-		var le *event
-		for {
-			le = lad.pop()
-			if le == nil || !le.dead {
-				break
-			}
-		}
+		le := lad.pop()
 		he := hp.pop()
 		if (le == nil) != (he == nil) {
 			t.Fatalf("emptiness mismatch: ladder %v heap %v", le, he)
@@ -51,6 +48,14 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 			now = le.at
 		}
 		return true
+	}
+
+	cancelBoth := func(p pair) {
+		if p.l.rng == rngBottom {
+			bottomCancels++
+		}
+		lad.cancel(p.l)
+		hp.cancel(p.h)
 	}
 
 	for i := 0; i < 200000; i++ {
@@ -75,6 +80,18 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 			cancellable = append(cancellable, pair{le, he})
 		case r < 90: // pop
 			popBoth()
+		case r < 95: // cancel the newest pending event: usually a
+			// near-future one, which sits in bottom once a rung exists
+			n := len(cancellable)
+			if n == 0 {
+				continue
+			}
+			p := cancellable[n-1]
+			cancellable = cancellable[:n-1]
+			if p.l.at <= now {
+				continue
+			}
+			cancelBoth(p)
 		default: // cancel a random pending event
 			if len(cancellable) == 0 {
 				continue
@@ -90,8 +107,7 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 			if p.l.at <= now {
 				continue
 			}
-			lad.cancel(p.l)
-			hp.cancel(p.h)
+			cancelBoth(p)
 		}
 		if lad.len() != hp.len() {
 			t.Fatalf("live count diverged: ladder %d heap %d", lad.len(), hp.len())
@@ -102,5 +118,51 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 	}
 	if lad.len() != 0 {
 		t.Fatalf("ladder reports %d live events after drain", lad.len())
+	}
+	if bottomCancels < 1000 {
+		t.Fatalf("only %d cancellations hit the sorted bottom; the mix no longer exercises it", bottomCancels)
+	}
+}
+
+// TestLadderBottomHoldsNoCancelledEvents is the white-box check of
+// eager bottom cancellation.  With a far-future event pending, the
+// first rung spans an hour, so near-future timers land directly in the
+// sorted bottom; arming and cancelling 10k of them must leave bottom
+// holding exactly the ones still live.
+func TestLadderBottomHoldsNoCancelledEvents(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	e.Schedule(3600*units.Second, func() { fired++ })
+	e.Schedule(units.Nanosecond, func() {})
+	e.Step() // builds the rung from top
+	lad := e.sched.(*ladderQueue)
+	kept := 0
+	for i := 0; i < 10000; i++ {
+		tm := e.After(units.Microsecond+units.Time(i%97)*units.Nanosecond, func() { fired++ })
+		if i%10 == 0 {
+			kept++
+		} else {
+			tm.Cancel()
+		}
+	}
+	inBottom := 0
+	for _, ev := range lad.bottom[lad.cursor:] {
+		if ev.rng != rngBottom {
+			t.Fatalf("event (%d,%d) in bottom carries region %d", ev.at, ev.seq, ev.rng)
+		}
+		inBottom++
+	}
+	if inBottom != kept {
+		t.Fatalf("bottom holds %d events, want the %d live timers", inBottom, kept)
+	}
+	if got := e.Pending(); got != kept+1 {
+		t.Fatalf("Pending() = %d, want %d", got, kept+1)
+	}
+	e.Run()
+	if fired != kept+1 {
+		t.Fatalf("%d events fired, want %d", fired, kept+1)
+	}
+	if e.Now() != 3600*units.Second {
+		t.Fatalf("clock ended at %v, want the far event's 3600 s", e.Now())
 	}
 }

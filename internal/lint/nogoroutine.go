@@ -8,15 +8,16 @@ import (
 
 // Nogoroutine forbids raw go statements in simulation-core packages.
 //
-// The des kernel runs processes as coroutines: a baton is handed to at
-// most one goroutine at a time, which is why simulation code may touch
-// shared state without locks.  A raw goroutine escapes that discipline
-// — it races with the holder of the baton and injects host-scheduler
-// nondeterminism into virtual time.  Concurrency in simulation code
-// must go through Engine.Spawn; the two legitimate raw-goroutine sites
-// — the kernel's own baton launch in des.Spawn and the compute-offload
-// worker launch in des.NewPool, whose workers synchronize with the
-// baton through task/done channels — carry the //lint:allow nogoroutine
+// The des kernel runs processes as coroutines under one dispatch
+// loop, so at most one simulated activity runs at a time, which is why
+// simulation code may touch shared state without locks.  A raw
+// goroutine escapes that discipline — it races with the running
+// activity and injects host-scheduler nondeterminism into virtual
+// time.  Concurrency in simulation code must go through Engine.Spawn
+// (whose coroutines come from iter.Pull, not a go statement); the one
+// legitimate raw-goroutine site — the compute-offload worker launch in
+// des.NewPool, whose workers synchronize with the dispatch loop through
+// task/done channels — carries the //lint:allow nogoroutine
 // annotation.
 var Nogoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",

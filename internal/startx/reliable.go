@@ -135,10 +135,12 @@ func (n *NIU) inject(pkt *arctic.Packet) {
 // sendData transmits a sequenced packet for the first time.  The
 // original is retained for retransmission; a pristine clone crosses the
 // wire, as the NIU re-reads packet data from its queues on every send.
+// Clones come from the fabric freelist and return to it on delivery or
+// loss; the original returns to it when acknowledged (onAck).
 func (st *relStream) sendData(pkt *arctic.Packet) {
 	st.unacked = append(st.unacked, pkt)
 	st.niu.Rel.DataPackets++
-	st.niu.fab.Inject(st.niu.ep, pkt.Clone())
+	st.niu.fab.Inject(st.niu.ep, st.niu.fab.ClonePacket(pkt))
 	if st.timer == nil || !st.timer.Active() {
 		st.armTimer()
 	}
@@ -188,35 +190,47 @@ func (st *relStream) onTimeout() {
 	}
 	for _, pkt := range st.unacked {
 		n.Rel.Retransmits++
-		n.fab.Inject(n.ep, pkt.Clone())
+		n.fab.Inject(n.ep, n.fab.ClonePacket(pkt))
 	}
 	st.armTimer()
 }
 
 // onAck processes a cumulative acknowledgement: everything below
-// ackSeq has been received.
+// ackSeq has been received, so those originals go back to the fabric
+// freelist.
 func (st *relStream) onAck(ackSeq uint64) {
-	progressed := false
-	for len(st.unacked) > 0 && st.unacked[0].Rel.Seq < ackSeq {
-		st.unacked = st.unacked[1:]
-		progressed = true
+	k := 0
+	for k < len(st.unacked) && st.unacked[k].Rel.Seq < ackSeq {
+		st.niu.fab.ReleasePacket(st.unacked[k])
+		k++
 	}
-	if !progressed {
+	if k == 0 {
 		return
 	}
+	st.unacked = dropFront(st.unacked, k)
 	st.retries = 0
 	if st.timer != nil {
 		st.timer.Cancel()
 	}
 	// Window space freed: promote backlogged packets.
-	for !st.dead && len(st.backlog) > 0 && len(st.unacked) < st.niu.cfg.RelWindow {
-		pkt := st.backlog[0]
-		st.backlog = st.backlog[1:]
-		st.sendData(pkt)
+	k = 0
+	for !st.dead && k < len(st.backlog) && len(st.unacked) < st.niu.cfg.RelWindow {
+		st.sendData(st.backlog[k])
+		k++
 	}
+	st.backlog = dropFront(st.backlog, k)
 	if len(st.unacked) > 0 && (st.timer == nil || !st.timer.Active()) {
 		st.armTimer()
 	}
+}
+
+// dropFront removes the first k packets in place.  Re-slicing from the
+// front instead would leak the front capacity, and every later append
+// would re-grow the queue.
+func dropFront(ps []*arctic.Packet, k int) []*arctic.Packet {
+	n := copy(ps, ps[k:])
+	clear(ps[n:])
+	return ps[:n]
 }
 
 // relAdmit filters an arriving packet through the reliable layer.  It

@@ -256,3 +256,57 @@ func TestDuplicateSuppressionWhenAcksLost(t *testing.T) {
 		t.Fatalf("%d processes still blocked", eng.Blocked())
 	}
 }
+
+// relStreamRun runs rounds request/reply exchanges between endpoints 0
+// and 1 over a seeded 2% drop plan and returns the fabric's packet
+// freelist length afterwards, the retransmit count and the heap
+// allocations of the run.  Each round waits for its reply, so the
+// number of packets in flight stays bounded however long the run.
+func relStreamRun(t *testing.T, rounds int) (free int, retx int64, allocs float64) {
+	t.Helper()
+	allocs = testing.AllocsPerRun(1, func() {
+		eng, nius := relRig(t, 2, fault.Config{Seed: 3, DropRate: 0.02})
+		payload := []uint32{1, 2}
+		eng.Spawn("client", func(p *des.Proc) {
+			for i := 0; i < rounds; i++ {
+				nius[0].PIOSend(p, 1, 1, payload, arctic.Low)
+				nius[0].PIORecv(p, arctic.Low)
+			}
+		})
+		eng.Spawn("server", func(p *des.Proc) {
+			for i := 0; i < rounds; i++ {
+				nius[1].PIORecv(p, arctic.Low)
+				nius[1].PIOSend(p, 0, 1, payload, arctic.Low)
+			}
+		})
+		eng.Run()
+		if eng.Blocked() != 0 {
+			t.Fatalf("%d processes still blocked", eng.Blocked())
+		}
+		free = nius[0].fab.FreePackets()
+		retx = nius[0].Rel.Retransmits + nius[1].Rel.Retransmits
+	})
+	return free, retx, allocs
+}
+
+// TestRetransmitsRecyclePackets pins the packet freelist under
+// retransmission: retransmit clones come from the freelist and acked
+// originals return to it, so a stream four times longer ends with a
+// freelist no longer than the short one's (it holds the peak number of
+// packets in flight) and allocates no more per round.
+func TestRetransmitsRecyclePackets(t *testing.T) {
+	const n = 2000
+	free1, retx1, a1 := relStreamRun(t, n)
+	free4, retx4, a4 := relStreamRun(t, 4*n)
+	t.Logf("rounds %d: free %d retx %d allocs %.0f; rounds %d: free %d retx %d allocs %.0f",
+		n, free1, retx1, a1, 4*n, free4, retx4, a4)
+	if retx4 <= retx1 || retx1 == 0 {
+		t.Fatalf("retransmits %d then %d: the drop plan no longer exercises go-back-N", retx1, retx4)
+	}
+	if free4 > free1 {
+		t.Errorf("packet freelist grew from %d to %d over %d more retransmits", free1, free4, retx4-retx1)
+	}
+	if a4/(4*n) > a1/n {
+		t.Errorf("allocations per round grew from %.2f to %.2f", a1/n, a4/(4*n))
+	}
+}
